@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race chaos chaos-reconfig pipeline-race shard-race multicore-race overload-race wan-race bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt lines race chaos chaos-reconfig pipeline-race shard-race multicore-race overload-race wan-race bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
 
 all: tier1
 
@@ -15,15 +15,22 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Net Go line counts tracked in ROADMAP.md: non-test and test lines over
+# the tracked .go files, excluding the separate perfbench/ module.
+lines:
+	@echo "non-test $$(git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test     $$(git ls-files '*.go' | grep -v '^perfbench/' | grep '_test\.go$$' | xargs cat | wc -l)"
+
 # Race tier: vet + full test suite under the race detector. The chaos
 # and transport tests are required to be race-clean.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Just the socket-level chaos suite (transport + chaos), race-enabled.
+# Just the socket-level chaos suite (transport + chaos) and the fault
+# injector that drives it, race-enabled.
 chaos:
-	$(GO) test -race ./internal/transport ./internal/chaos
+	$(GO) test -race ./internal/transport ./internal/chaos ./internal/failure
 
 # Online-reconfiguration suite under the race detector (PR 6): snapshot
 # catch-up, consensus-decided membership change, WAL pruning, the
@@ -71,10 +78,9 @@ bench-quick:
 	$(GO) run ./cmd/benchpaxos -exp all -quick
 
 # Scaled-down durable-mode run: fig5/fig6 over file-backed WALs with
-# group commit, plus the inline-fsync ablation baseline.
+# group commit.
 bench-durable-quick:
 	$(GO) run ./cmd/benchpaxos -exp fig5,fig6 -quick -durable
-	$(GO) run ./cmd/benchpaxos -exp fig5,fig6 -quick -durable -nopersist -syncpolicy always
 
 # Scaled-down pipeline-depth sweep over durable WALs (PR 4).
 bench-pipeline-quick:

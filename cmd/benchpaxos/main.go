@@ -61,13 +61,10 @@ var (
 
 	// Durable mode: every replica runs over a real storage.File WAL
 	// (Sync on) in a temp dir, so the numbers include the fsync path the
-	// in-memory default hides. -nopersist is the before-side of the
-	// group-commit comparison: per-record inline fsync on the event
-	// loop, the pre-durability-pipeline behavior.
+	// in-memory default hides.
 	durable    = flag.Bool("durable", false, "run over file-backed WALs (storage.File, Sync on) in a temp dir")
 	syncPolicy = flag.String("syncpolicy", "batch", "durable-mode sync policy: always|batch|interval")
 	syncEvery  = flag.Duration("syncinterval", 0, "durable-mode fsync interval for -syncpolicy interval (default 2ms)")
-	noPersist  = flag.Bool("nopersist", false, "durable-mode ablation: inline per-record fsync, no persister (the pre-group-commit baseline)")
 
 	// Pipelining: -pipeline sets PipelineDepth for every cluster an
 	// experiment builds (1 = the paper's serial wave protocol); the
@@ -154,7 +151,6 @@ func clusterConfig(profile netem.Profile, n int) cluster.Config {
 	}
 	cfg.SyncPolicy = pol
 	cfg.SyncInterval = *syncEvery
-	cfg.NoPersist = *noPersist
 	return cfg
 }
 
@@ -264,7 +260,6 @@ type Report struct {
 	GoMaxProcs    int         `json:"gomaxprocs"`
 	Durable       bool        `json:"durable,omitempty"`
 	SyncPolicy    string      `json:"sync_policy,omitempty"`
-	NoPersist     bool        `json:"no_persist,omitempty"`
 	PipelineDepth int         `json:"pipeline_depth,omitempty"`
 	Groups        int         `json:"groups,omitempty"`
 	Experiments   []ExpResult `json:"experiments"`
@@ -331,12 +326,7 @@ func main() {
 	if *durable {
 		report.Durable = true
 		report.SyncPolicy = *syncPolicy
-		report.NoPersist = *noPersist
-		mode := "group commit, off-loop persister"
-		if *noPersist {
-			mode = "inline per-record fsync (baseline)"
-		}
-		fmt.Printf("durable mode: storage.File WALs, policy=%s, %s\n\n", *syncPolicy, mode)
+		fmt.Printf("durable mode: storage.File WALs, policy=%s, group commit, off-loop persister\n\n", *syncPolicy)
 	}
 	defer func() {
 		if durableRoot != "" {
@@ -476,8 +466,8 @@ func throughputFigure(res *ExpResult, profile netem.Profile, clients []int, tota
 }
 
 // phaseOrder maps leader-side registry histograms to display labels, in
-// request-lifecycle order: batch execution, propose→quorum, propose→
-// commit-eligible, admission→reply, and the WAL fsync inside the wave
+// request-lifecycle order: batch execution, propose→quorum, quorum→
+// in-order commit, admission→reply, and the WAL fsync inside the wave
 // (durable mode only — absent on in-memory storage).
 var phaseOrder = []struct{ name, label string }{
 	{"gridrep_execute_latency_seconds", "execute"},

@@ -93,11 +93,11 @@ func main() {
 	inj := failure.New(c, *seed)
 	plan := failure.Plan{
 		Every: *every,
-		Weights: map[failure.Action]int{
-			failure.ActionLeaderSwitch: 3,
-			failure.ActionCrashBackup:  2,
-			failure.ActionCrashLeader:  1,
-			failure.ActionLossBurst:    2,
+		Weights: map[failure.Fault]int{
+			failure.LeaderSwitch: 3,
+			failure.CrashBackup:  2,
+			failure.CrashLeader:  1,
+			failure.LossBurst:    2,
 		},
 		RecoverAfter: *every / 2,
 		LossProb:     0.25,
@@ -185,7 +185,9 @@ func main() {
 // runClosedLoop is the original soak workload: a fixed pool of
 // closed-loop clients incrementing one counter as fast as faults allow.
 func runClosedLoop(c *cluster.Cluster, inj *failure.Injector, plan failure.Plan, clients int, duration time.Duration) (acked, ambiguous int64) {
-	inj.Start(plan)
+	if err := inj.Start(plan); err != nil {
+		log.Fatal(err)
+	}
 	var oks, timeouts atomic.Int64
 	var wg sync.WaitGroup
 	stopAt := time.Now().Add(duration)
@@ -251,7 +253,9 @@ func runOpenLoop(c *cluster.Cluster, inj *failure.Injector, plan failure.Plan, r
 	// timed out under a fault and was retried would apply outside that
 	// accounting and break the counter bracket.
 	time.Sleep(2 * time.Second)
-	inj.Start(plan)
+	if err := inj.Start(plan); err != nil {
+		log.Fatal(err)
+	}
 	o := <-done
 	rep := inj.Stop()
 	if o.err != nil {

@@ -20,7 +20,7 @@ import (
 
 // Grid must satisfy the failure package's link-fault abstraction so the
 // same injection plans drive both the in-process fabric and real TCP.
-var _ failure.LinkController = (*chaos.Grid)(nil)
+var _ failure.LinkTarget = (*chaos.Grid)(nil)
 
 // echoServer accepts connections and echoes bytes back until closed.
 func echoServer(t *testing.T) net.Listener {
@@ -298,11 +298,13 @@ func TestClusterSurvivesLinkChaos(t *testing.T) {
 	})
 	defer cli.Close()
 
-	inj := failure.NewLinks(grid, 1)
-	inj.Start(failure.LinkPlan{
+	inj := failure.New(grid, 1)
+	if err := inj.Start(failure.Plan{
 		Every:   20 * time.Millisecond,
-		Weights: map[failure.LinkAction]int{failure.LinkSever: 1},
-	})
+		Weights: map[failure.Fault]int{failure.LinkSever: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	const ops = 500
 	acked := make(map[string][]byte, ops)

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -92,7 +93,8 @@ func (g *Grid) Link(from, to wire.NodeID) (*Proxy, bool) {
 	return p, ok
 }
 
-// Links lists every directed link that currently has a proxy.
+// Links lists every directed link that currently has a proxy, sorted,
+// so a seeded pick over them is reproducible.
 func (g *Grid) Links() [][2]wire.NodeID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -100,7 +102,44 @@ func (g *Grid) Links() [][2]wire.NodeID {
 	for key := range g.links {
 		out = append(out, key)
 	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a][0] != out[b][0] {
+			return out[a][0] < out[b][0]
+		}
+		return out[a][1] < out[b][1]
+	})
 	return out
+}
+
+// matching returns the proxies of every link (from → to) that match
+// selects.
+func (g *Grid) matching(match func(from, to wire.NodeID) bool) []*Proxy {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var ps []*Proxy
+	for key, p := range g.links {
+		if match(key[0], key[1]) {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// touching selects the links into and out of node n.
+func touching(n wire.NodeID) func(from, to wire.NodeID) bool {
+	return func(from, to wire.NodeID) bool { return from == n || to == n }
+}
+
+// setDown takes every proxy in ps offline (or back online), returning
+// the first error.
+func setDown(ps []*Proxy, on bool) error {
+	var firstErr error
+	for _, p := range ps {
+		if err := p.SetDown(on); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // Sever cuts the live connections of the (from → to) link.
@@ -145,36 +184,14 @@ func (g *Grid) SetDown(from, to wire.NodeID, on bool) error {
 // supervisors back off and their bounded queues absorb — then shed —
 // the traffic.
 func (g *Grid) Partition(n wire.NodeID, on bool) error {
-	g.mu.Lock()
-	var ps []*Proxy
-	for key, p := range g.links {
-		if key[0] == n || key[1] == n {
-			ps = append(ps, p)
-		}
-	}
-	g.mu.Unlock()
-	var firstErr error
-	for _, p := range ps {
-		if err := p.SetDown(on); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return setDown(g.matching(touching(n)), on)
 }
 
 // Isolate blackholes (on=true) or restores (on=false) every link into
 // and out of node n — the "leader vanishes but its sockets stay open"
 // scenario that only end-to-end heartbeats can detect.
 func (g *Grid) Isolate(n wire.NodeID, on bool) {
-	g.mu.Lock()
-	var ps []*Proxy
-	for key, p := range g.links {
-		if key[0] == n || key[1] == n {
-			ps = append(ps, p)
-		}
-	}
-	g.mu.Unlock()
-	for _, p := range ps {
+	for _, p := range g.matching(touching(n)) {
 		p.SetBlackhole(on)
 	}
 }
@@ -226,49 +243,22 @@ func (g *Grid) ApplyProfile(p netem.Profile, seed int64) error {
 // just cannot reach the rest of the world — the "continent drops off
 // the backbone" scenario of the WAN chaos suite.
 func (g *Grid) PartitionRegion(r int, regionOf func(wire.NodeID) int, on bool) error {
-	g.mu.Lock()
-	var ps []*Proxy
-	for key, p := range g.links {
-		in0, in1 := regionOf(key[0]) == r, regionOf(key[1]) == r
-		if in0 != in1 {
-			ps = append(ps, p)
-		}
-	}
-	g.mu.Unlock()
-	var firstErr error
-	for _, p := range ps {
-		if err := p.SetDown(on); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return setDown(g.matching(func(from, to wire.NodeID) bool {
+		return (regionOf(from) == r) != (regionOf(to) == r)
+	}), on)
 }
 
 // SeverNode cuts every live connection touching node n.
 func (g *Grid) SeverNode(n wire.NodeID) {
-	g.mu.Lock()
-	var ps []*Proxy
-	for key, p := range g.links {
-		if key[0] == n || key[1] == n {
-			ps = append(ps, p)
-		}
-	}
-	g.mu.Unlock()
-	for _, p := range ps {
+	for _, p := range g.matching(touching(n)) {
 		p.Sever()
 	}
 }
 
 // Stats sums the counters of every link proxy.
 func (g *Grid) Stats() ProxyStats {
-	g.mu.Lock()
-	ps := make([]*Proxy, 0, len(g.links))
-	for _, p := range g.links {
-		ps = append(ps, p)
-	}
-	g.mu.Unlock()
 	var total ProxyStats
-	for _, p := range ps {
+	for _, p := range g.matching(func(_, _ wire.NodeID) bool { return true }) {
 		s := p.Stats()
 		total.Accepted += s.Accepted
 		total.Severs += s.Severs

@@ -136,11 +136,13 @@ func TestReconfigJoinUnderLinkChaos(t *testing.T) {
 	})
 	defer cli.Close()
 
-	inj := failure.NewLinks(grid, 1)
-	inj.Start(failure.LinkPlan{
+	inj := failure.New(grid, 1)
+	if err := inj.Start(failure.Plan{
 		Every:   25 * time.Millisecond,
-		Weights: map[failure.LinkAction]int{failure.LinkSever: 1},
-	})
+		Weights: map[failure.Fault]int{failure.LinkSever: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	acked := make(map[string][]byte, 300)
 	put := func(i int) {

@@ -112,10 +112,6 @@ type Config struct {
 	// NoBatch forwards the core ablation knob: one request per accept
 	// wave.
 	NoBatch bool
-	// NoPersist forwards the core durability-pipeline ablation knob:
-	// file-backed stores write and fsync inline on the event loop, the
-	// pre-group-commit behavior.
-	NoPersist bool
 	// StateMode forwards the §3.3 state-transfer mode to every replica.
 	StateMode core.StateMode
 	// ReadConcurrency forwards the core parallel-read worker count
@@ -344,7 +340,6 @@ func (c *Cluster) startReplica(id wire.NodeID) error {
 			RTTPlacement:      c.cfg.RTTPlacement,
 			WireCompat:        c.cfg.WireCompat,
 			NoBatch:           c.cfg.NoBatch,
-			NoPersist:         c.cfg.NoPersist,
 			StateMode:         c.cfg.StateMode,
 			ReadConcurrency:   c.cfg.ReadConcurrency,
 			SnapshotEvery:     c.cfg.SnapshotEvery,
@@ -737,6 +732,14 @@ func (c *Cluster) SuspectGroupLeader(g int) {
 		// withdrawal, so one loop covers everyone.
 		rep.Inspect(func(r *core.Replica) { r.Elector().Suspect(leader) })
 	}
+}
+
+// SetClientLoss sets the probability that the network drops a message
+// between a client and a replica, in both directions; 0 clears it.
+func (c *Cluster) SetClientLoss(p float64) {
+	m := c.Net.Model()
+	m.SetLoss(netem.ClassClient, netem.ClassReplica, p)
+	m.SetLoss(netem.ClassReplica, netem.ClassClient, p)
 }
 
 // Close stops every replica and the network.

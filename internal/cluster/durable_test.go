@@ -150,21 +150,24 @@ func (f *flakyWAL) PutAccepted(entries []wire.Entry, max wire.Ballot) error {
 	return f.File.PutAccepted(entries, max)
 }
 
+// inlineOnly exposes only storage.Store, hiding storage.Flusher, so the
+// replica writes and fsyncs every mutation inline on its event loop.
+type inlineOnly struct{ storage.Store }
+
 // TestPersistFailureFailStops: a replica whose storage starts failing —
 // whether the failure surfaces in the persister goroutine's Flush or in
-// an inline mutation on the event loop — must fail-stop, and the
-// remaining quorum must keep serving.
+// an inline mutation on the event loop of a store without group commit —
+// must fail-stop, and the remaining quorum must keep serving.
 func TestPersistFailureFailStops(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		nopersist bool
-		mk        func(f *storage.File) *flakyWAL
+		name string
+		mk   func(f *storage.File) storage.Store
 	}{
-		{"persister-flush", false, func(f *storage.File) *flakyWAL {
+		{"persister-flush", func(f *storage.File) storage.Store {
 			return &flakyWAL{File: f, failFlush: true, okFlushes: 5}
 		}},
-		{"loop-inline", true, func(f *storage.File) *flakyWAL {
-			return &flakyWAL{File: f, failAccept: true, okAccepts: 5}
+		{"loop-inline", func(f *storage.File) storage.Store {
+			return inlineOnly{&flakyWAL{File: f, failAccept: true, okAccepts: 5}}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,10 +178,9 @@ func TestPersistFailureFailStops(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := newTestCluster(t, Config{
-				Service:   service.KVFactory,
-				DataDir:   dataDir,
-				NoPersist: tc.nopersist,
-				Stores:    map[wire.NodeID]storage.Store{flakyID: tc.mk(f)},
+				Service: service.KVFactory,
+				DataDir: dataDir,
+				Stores:  map[wire.NodeID]storage.Store{flakyID: tc.mk(f)},
 			})
 			if _, err := c.WaitForLeader(5 * time.Second); err != nil {
 				t.Fatal(err)

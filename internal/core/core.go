@@ -130,9 +130,6 @@ type Config struct {
 	// retransmitting an unacknowledged prepare/accept/catch-up
 	// (default 4×HeartbeatInterval).
 	RetryTimeout time.Duration
-	// CompactEvery triggers log-state compaction after this many
-	// committed instances (default 1024).
-	CompactEvery uint64
 	// CommitFlushDelay bounds how long a committed wave's notification
 	// may wait for the next accept wave to carry it (default 1ms).
 	// Commits always piggyback on the next wave's accept broadcast;
@@ -156,11 +153,6 @@ type Config struct {
 	// paper's own recovery path sends multi-instance accepts, and
 	// batching is what lets write throughput scale in Figure 5.
 	NoBatch bool
-	// NoPersist disables the durability pipeline (ablation knob): even
-	// when Store implements storage.Flusher, mutations are written and
-	// fsynced inline on the event loop and dependent sends go out
-	// immediately — the pre-group-commit behavior. Default off.
-	NoPersist bool
 	// ReadConcurrency sizes the parallel-read worker pool (DESIGN.md
 	// §14): when the service implements service.ReadViewer, confirmed
 	// X-Paxos reads execute concurrently against pinned immutable views
@@ -247,9 +239,6 @@ func (c *Config) fillDefaults() {
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = 4 * c.HeartbeatInterval
 	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = 1024
-	}
 	if c.CommitFlushDelay == 0 {
 		c.CommitFlushDelay = time.Millisecond
 	}
@@ -276,8 +265,10 @@ type wave struct {
 	recovery bool        // re-proposing learned entries after election
 	acked    bool        // quorum complete, waiting on predecessor waves
 	txns     []*txnState // transactions committing in this wave
-	sentAt   time.Time
-	firstAt  time.Time // admission time of the wave's oldest request
+	launchAt time.Time   // first accept broadcast; retransmits keep it
+	sentAt   time.Time   // last accept broadcast, for the retransmit timer
+	ackedAt  time.Time   // quorum completion
+	firstAt  time.Time   // admission time of the wave's oldest request
 }
 
 // pendingRead is an X-Paxos read waiting for majority confirms and for
@@ -559,7 +550,7 @@ func New(cfg Config) (*Replica, error) {
 	if ins, ok := cfg.Transport.(metrics.Instrumented); ok {
 		ins.RegisterMetrics(r.reg)
 	}
-	if fl, ok := cfg.Store.(storage.Flusher); ok && !cfg.NoPersist {
+	if fl, ok := cfg.Store.(storage.Flusher); ok {
 		// The store supports group commit: stage mutations on the loop,
 		// flush them from the persister goroutine, and route dependent
 		// sends through it (persist.go has the ordering contract).

@@ -292,7 +292,8 @@ func (r *Replica) launchWave(w *wave) {
 		insts[i] = e.Instance
 	}
 	w.round = paxos.NewAcceptRound(r.bal, insts, r.quorum())
-	w.sentAt = time.Now()
+	w.launchAt = time.Now()
+	w.sentAt = w.launchAt
 	r.waves = append(r.waves, w)
 	r.stats.wavesStarted.Add(1)
 	r.stats.noteInFlight(len(r.waves))
@@ -326,11 +327,12 @@ func (r *Replica) launchWave(w *wave) {
 }
 
 // noteAcked marks a wave's quorum complete and stamps the quorum-phase
-// latency (accept broadcast to quorum completion).
+// latency (first accept broadcast to quorum completion).
 func (r *Replica) noteAcked(w *wave) {
 	w.acked = true
+	w.ackedAt = time.Now()
 	if !w.recovery {
-		r.stats.quorumLat.Since(w.sentAt)
+		r.stats.quorumLat.ObserveDuration(w.ackedAt.Sub(w.launchAt))
 	}
 }
 
@@ -392,7 +394,7 @@ func (r *Replica) commitReady() {
 		r.stats.wavesCommitted.Add(1)
 		r.stats.noteInFlight(len(r.waves))
 		if !w.recovery {
-			r.stats.commitLat.Since(w.sentAt)
+			r.stats.commitLat.Since(w.ackedAt)
 		}
 		committed = true
 		r.commitWave(w)
@@ -504,9 +506,13 @@ func (r *Replica) noteCommitted(e wire.Entry, replyNow bool) {
 	}
 }
 
+// compactEvery is how many committed instances pass between log-state
+// compactions.
+const compactEvery = 1024
+
 // maybeCompact strips old state payloads from the log periodically.
 func (r *Replica) maybeCompact() {
-	if chosen := r.acc.Chosen(); chosen-r.lastCompact >= r.cfg.CompactEvery {
+	if chosen := r.acc.Chosen(); chosen-r.lastCompact >= compactEvery {
 		r.lastCompact = chosen
 		if err := r.acc.Compact(chosen); err != nil {
 			r.fatal("compact: %v", err)

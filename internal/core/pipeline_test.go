@@ -8,6 +8,7 @@ import (
 
 	"gridrep/internal/cluster"
 	"gridrep/internal/core"
+	"gridrep/internal/metrics"
 	"gridrep/internal/netem"
 	"gridrep/internal/service"
 )
@@ -126,6 +127,47 @@ func TestPipelineDepthOneStaysSerial(t *testing.T) {
 	if st.MaxWavesInFlight > 1 {
 		t.Fatalf("MaxWavesInFlight = %d at depth 1; the serial protocol allows only 1",
 			st.MaxWavesInFlight)
+	}
+}
+
+// TestQuorumAndCommitPhasesDoNotOverlap checks that the two wave-phase
+// histograms split a wave's life instead of both measuring it: quorum
+// runs from the first accept broadcast to quorum completion, commit from
+// there to the in-order commit. At depth 1 a wave commits as soon as its
+// quorum completes, so the commit phase is a sliver of the quorum round
+// trip, not a copy of it.
+func TestQuorumAndCommitPhasesDoNotOverlap(t *testing.T) {
+	c := newCluster(t, cluster.Config{
+		Service:       service.KVFactory,
+		Profile:       netem.WAN(0),
+		PipelineDepth: 1,
+	})
+	runWriters(t, c, 1, 8)
+
+	id, ok := c.Leader()
+	if !ok {
+		t.Fatal("no leader")
+	}
+	rep, ok := c.Replica(id)
+	if !ok {
+		t.Fatal("leader replica missing")
+	}
+	snap := rep.Metrics().Snapshot()
+	hist := func(name string) *metrics.HistSnapshot {
+		m, ok := metrics.Find(snap, name)
+		if !ok || m.Hist == nil || m.Hist.Count == 0 {
+			t.Fatalf("%s empty: %+v", name, m)
+		}
+		return m.Hist
+	}
+	quorum := hist("gridrep_quorum_latency_seconds")
+	commit := hist("gridrep_commit_latency_seconds")
+	// The WAN profile's replica links are 17.6 ms one way.
+	if q := time.Duration(quorum.Mean()); q < 35*time.Millisecond {
+		t.Fatalf("quorum phase mean %v is shorter than a replica round trip", q)
+	}
+	if cm, q := time.Duration(commit.Mean()), time.Duration(quorum.Mean()); cm > q/10 {
+		t.Fatalf("commit phase mean %v vs quorum %v at depth 1: the phases overlap", cm, q)
 	}
 }
 

@@ -140,9 +140,9 @@ func (s *stats) register(reg *metrics.Registry) {
 	s.execLat = reg.Histogram("gridrep_execute_latency_seconds",
 		"service execution time per accept wave", metrics.UnitNanoseconds)
 	s.quorumLat = reg.Histogram("gridrep_quorum_latency_seconds",
-		"accept broadcast to quorum completion per wave", metrics.UnitNanoseconds)
+		"first accept broadcast to quorum completion per wave", metrics.UnitNanoseconds)
 	s.commitLat = reg.Histogram("gridrep_commit_latency_seconds",
-		"accept broadcast to commitment per wave", metrics.UnitNanoseconds)
+		"quorum completion to in-order commitment per wave", metrics.UnitNanoseconds)
 	s.requestLat = reg.Histogram("gridrep_request_latency_seconds",
 		"client admission to reply per wave (oldest request)", metrics.UnitNanoseconds)
 }
