@@ -16,7 +16,7 @@ import (
 // client-facing edge enabled (defaults).
 func startGatewayServer(t *testing.T, dir string, id gridrep.NodeID, peers map[gridrep.NodeID]string) *gridrep.Server {
 	t.Helper()
-	srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
+	srv, err := serveOnReserved(gridrep.ServerOptions{
 		ID:                id,
 		Peers:             peers,
 		Service:           gridrep.NewKV(),

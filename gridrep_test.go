@@ -3,7 +3,6 @@ package gridrep_test
 import (
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -163,17 +162,9 @@ func TestTCPDeployment(t *testing.T) {
 	// Three replica processes over real TCP on loopback, one client.
 	// Reserve three ports first so every replica starts with the full
 	// address book.
-	peers := make(map[gridrep.NodeID]string, 3)
+	peers := reservePorts(t, []gridrep.NodeID{0, 1, 2})
 	for id := gridrep.NodeID(0); id < 3; id++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[id] = ln.Addr().String()
-		ln.Close()
-	}
-	for id := gridrep.NodeID(0); id < 3; id++ {
-		srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
+		srv, err := serveOnReserved(gridrep.ServerOptions{
 			ID:                id,
 			Peers:             peers,
 			Service:           gridrep.NewKV(),

@@ -64,13 +64,25 @@ type Router struct {
 	n       int
 	sharder service.Sharder // nil: hash whole ops
 	pinned  map[txnKey]uint32
+	// released remembers the pins of recently committed or aborted
+	// transactions, so a client's retransmitted commit/abort still
+	// reaches the group that ran the transaction (and answers from its
+	// reply cache) instead of the fallback hash's group, whose leader
+	// never saw it and would report it lost. Two generations of at
+	// most maxPinned each bound the memory.
+	released, releasedOld map[txnKey]uint32
 }
 
 // NewRouter returns a router over n groups. svc (any replica's service
 // instance, used purely for key extraction) is probed for
 // service.Sharder; pass nil to always hash whole operations.
 func NewRouter(n int, svc service.Service) *Router {
-	r := &Router{n: n, pinned: make(map[txnKey]uint32)}
+	r := &Router{
+		n:           n,
+		pinned:      make(map[txnKey]uint32),
+		released:    make(map[txnKey]uint32),
+		releasedOld: make(map[txnKey]uint32),
+	}
 	if sh, ok := svc.(service.Sharder); ok {
 		r.sharder = sh
 	}
@@ -124,7 +136,14 @@ func (r *Router) Route(req *wire.Request) (uint32, error) {
 	case wire.KindTxnCommit, wire.KindTxnAbort:
 		if pinned, ok := r.pinned[k]; ok {
 			delete(r.pinned, k)
+			r.release(k, pinned)
 			return pinned, nil
+		}
+		if g, ok := r.released[k]; ok {
+			return g, nil
+		}
+		if g, ok := r.releasedOld[k]; ok {
+			return g, nil
 		}
 		// Commit/abort of a transaction this router never saw an op for
 		// (e.g. an empty transaction, or a pump restart): fall back to a
@@ -139,6 +158,16 @@ func (r *Router) Route(req *wire.Request) (uint32, error) {
 	default:
 		return r.GroupForOp(req.Op), nil
 	}
+}
+
+// release records the group a finished transaction was pinned to,
+// retiring the older generation when the current one is full.
+func (r *Router) release(k txnKey, g uint32) {
+	if len(r.released) >= maxPinned {
+		r.releasedOld = r.released
+		r.released = make(map[txnKey]uint32)
+	}
+	r.released[k] = g
 }
 
 // LeaderRank returns the Ω rank function for group g over a cluster of

@@ -119,6 +119,44 @@ func TestTxnPinningAndCrossGroup(t *testing.T) {
 	}
 }
 
+// TestTxnCommitRetransmitKeepsPinnedGroup: a client rebroadcasts a
+// commit whose first copy already released the pin. The retransmit must
+// still route to the group that ran the transaction, not to the
+// fallback hash's group, whose leader would report it lost.
+func TestTxnCommitRetransmitKeepsPinnedGroup(t *testing.T) {
+	r := NewRouter(4, service.NewKV())
+	k1, _ := findKeys(t, r)
+	g1 := r.GroupForOp(service.KVPut(k1, nil))
+
+	// Pick a transaction whose identity hash lands outside g1, so the
+	// fallback would misroute the retransmit.
+	var txn uint64
+	for txn = 1; ; txn++ {
+		g, err := NewRouter(4, service.NewKV()).Route(&wire.Request{Client: 100, Kind: wire.KindTxnCommit, Txn: txn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g != g1 {
+			break
+		}
+	}
+
+	req := func(kind wire.RequestKind, op []byte) *wire.Request {
+		return &wire.Request{Client: 100, Seq: 1, Kind: kind, Txn: txn, Op: op}
+	}
+	if g, err := r.Route(req(wire.KindTxnOp, service.KVPut(k1, []byte("v")))); err != nil || g != g1 {
+		t.Fatalf("pin: g=%d err=%v want %d", g, err, g1)
+	}
+	for i := 0; i < 3; i++ {
+		if g, err := r.Route(req(wire.KindTxnCommit, nil)); err != nil || g != g1 {
+			t.Fatalf("commit copy %d: g=%d err=%v want %d", i, g, err, g1)
+		}
+	}
+	if len(r.pinned) != 0 {
+		t.Fatalf("pin not released: %v", r.pinned)
+	}
+}
+
 // TestTxnCommitWithoutPinIsDeterministic: committing a transaction the
 // router never pinned (empty txn) still lands on one deterministic
 // group on every replica.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,8 +12,15 @@ import (
 	"gridrep/internal/storage"
 )
 
+// heldPorts maps a reserved address to the placeholder listener that
+// keeps it bound until its replica starts.
+var heldPorts sync.Map
+
 // reservePorts grabs n loopback ports so every replica can start with a
-// full address book.
+// full address book. Each port stays bound by a placeholder listener
+// until serveOnReserved starts its replica: a closed port could be
+// handed out meanwhile as the source port of another replica's dial,
+// and the replica's own bind would then fail.
 func reservePorts(t *testing.T, ids []gridrep.NodeID) map[gridrep.NodeID]string {
 	t.Helper()
 	peers := make(map[gridrep.NodeID]string, len(ids))
@@ -21,10 +29,27 @@ func reservePorts(t *testing.T, ids []gridrep.NodeID) map[gridrep.NodeID]string 
 		if err != nil {
 			t.Fatal(err)
 		}
-		peers[id] = ln.Addr().String()
-		ln.Close()
+		addr := ln.Addr().String()
+		peers[id] = addr
+		heldPorts.Store(addr, ln)
+		t.Cleanup(func() { releasePort(addr) })
 	}
 	return peers
+}
+
+// releasePort closes the placeholder listener on a reserved address, if
+// it is still held.
+func releasePort(addr string) {
+	if ln, ok := heldPorts.LoadAndDelete(addr); ok {
+		ln.(net.Listener).Close()
+	}
+}
+
+// serveOnReserved starts a replica on the port reservePorts set aside
+// for it, releasing the placeholder just before the replica binds it.
+func serveOnReserved(opts gridrep.ServerOptions) (*gridrep.Server, error) {
+	releasePort(opts.Peers[opts.ID])
+	return gridrep.ListenAndServe(opts)
 }
 
 // tcpLeader polls the servers for the one that reports itself as the
@@ -56,7 +81,7 @@ func TestTCPOnlineJoinWithPrunedWAL(t *testing.T) {
 	peers := reservePorts(t, []gridrep.NodeID{0, 1, 2})
 	srvs := make(map[gridrep.NodeID]*gridrep.Server, 4)
 	for id := gridrep.NodeID(0); id < 3; id++ {
-		srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
+		srv, err := serveOnReserved(gridrep.ServerOptions{
 			ID:                id,
 			Peers:             peers,
 			Service:           gridrep.NewKV(),
@@ -119,7 +144,7 @@ func TestTCPOnlineJoinWithPrunedWAL(t *testing.T) {
 	jp := reservePorts(t, []gridrep.NodeID{3})
 	joinPeers[3] = jp[3]
 	start := time.Now()
-	joiner, err := gridrep.ListenAndServe(gridrep.ServerOptions{
+	joiner, err := serveOnReserved(gridrep.ServerOptions{
 		ID:                3,
 		Peers:             joinPeers,
 		Service:           gridrep.NewKV(),
@@ -193,7 +218,7 @@ func TestTCPGracefulShutdownFlushesWAL(t *testing.T) {
 	dir := t.TempDir()
 	peers := reservePorts(t, []gridrep.NodeID{0})
 	walPath := filepath.Join(dir, "r0.wal")
-	srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
+	srv, err := serveOnReserved(gridrep.ServerOptions{
 		ID:                0,
 		Peers:             peers,
 		Service:           gridrep.NewKV(),
