@@ -41,10 +41,12 @@ chaos-reconfig:
 	$(GO) test -race -count 1 -run 'Reconfig|OnlineJoin|ChaosCrashRejoin|RemoveReplica|TCPOnlineJoin|GracefulShutdown|Learner|SetPeers|Prune|SnapshotMembers|TailBitFlip|Checkpoint' ./internal/cluster ./internal/core ./internal/omega ./internal/storage ./internal/chaos .
 
 # Pipelined-mode suite under the race detector: wave pipelining, the
-# linearizability matrix (depth × batching), recovery truncation, and
-# the leader-crash-mid-pipeline chaos test.
+# linearizability matrix (depth × batching), recovery truncation, the
+# leader-crash-mid-pipeline chaos test, and the demotion rollback tests
+# (state modes × depth, exclusive transactions, configuration waves,
+# compaction under load, the snapshot-count fence).
 pipeline-race:
-	$(GO) test -race -count 1 -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
+	$(GO) test -race -count 1 -run 'Pipelin|Linearizability|Recovery|Rollback' ./internal/core ./internal/chaos ./internal/paxos
 
 # Sharded-consensus suite under the race detector (PR 7, DESIGN.md §13):
 # the shard router, the group multiplexer, per-group WAL directory
@@ -66,7 +68,7 @@ shard-race:
 # sibling claim first (DESIGN.md §16).
 multicore-race:
 	GOMAXPROCS=4 $(GO) test -count 1 ./...
-	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
+	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'Pipelin|Linearizability|Recovery|Rollback' ./internal/core ./internal/chaos ./internal/paxos
 	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster ./internal/bench .
 	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'ParallelRead|ReadView|ReadPool|Sink|DecodeStage|ReplyWriter|Multicore' ./internal/core ./internal/service ./internal/transport ./internal/cluster
 

@@ -224,6 +224,7 @@ func (r *Replica) onCatchUpResp(m *wire.CatchUpResp) {
 		return
 	}
 	r.applied = m.Chosen
+	r.dropBase() // the installed entries need not hold the payloads above it
 	r.logf("caught up to %d", m.Chosen)
 
 	if r.role == RolePreparing && r.awaitCatchup && r.applied >= r.prep.MaxChosen() {

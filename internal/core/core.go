@@ -142,10 +142,11 @@ type Config struct {
 	// instance i is proposed only after i−1 commits. Depths above 1 let
 	// the leader execute wave i+1 against its local post-i state and
 	// propose it while wave i's quorum round trip and fsync are still
-	// outstanding; every wave keeps an undo snapshot so a ballot demotion
-	// rolls the service back to the last committed instance, and client
-	// replies still fire only when a wave and all its predecessors
-	// commit. See DESIGN.md §10 for the ordering/rollback contract.
+	// outstanding. A ballot demotion rolls the service back to the last
+	// committed instance by restoring the rollback base and replaying the
+	// chosen log above it, and client replies still fire only when a wave
+	// and all its predecessors commit. See DESIGN.md §10 for the
+	// ordering/rollback contract.
 	PipelineDepth int
 	// NoBatch disables multi-instance accept waves (ablation knob): each
 	// wave carries exactly one request, so the strictly sequential
@@ -257,11 +258,13 @@ func (c *Config) fillDefaults() {
 // one message; state attached to the top instance only). Up to
 // Config.PipelineDepth waves may be in flight at once; they commit
 // strictly in launch order (acked marks a wave whose own quorum is
-// complete but whose predecessors are not).
+// complete but whose predecessors are not). A wave keeps no copy of the
+// state it was built on: a demotion rebuilds the committed state from
+// the rollback base and the chosen log (stepDown).
 type wave struct {
 	round    *paxos.AcceptRound
 	entries  []wire.Entry
-	undo     []byte      // pre-execution snapshot; nil for recovery waves
+	executed bool        // ran on this leader's service: speculative until committed
 	recovery bool        // re-proposing learned entries after election
 	acked    bool        // quorum complete, waiting on predecessor waves
 	txns     []*txnState // transactions committing in this wave
@@ -353,6 +356,14 @@ type Replica struct {
 	nextInstance uint64
 	applied      uint64 // instance whose post-state the service reflects
 
+	// The rollback base (DESIGN.md §10): a clean service snapshot and the
+	// instance it reflects. A demoted leader restores it and replays the
+	// chosen log above it, the way a restarted replica recovers. It is
+	// taken lazily (ensureBase) and refreshed by durable snapshots.
+	base    []byte
+	baseAt  uint64
+	hasBase bool
+
 	// Membership (reconfig.go): voters vote and form quorums; learners
 	// receive all broadcasts but their votes are ignored and Ω never
 	// entitles them to lead. others caches voters ∪ learners minus
@@ -365,15 +376,15 @@ type Replica struct {
 	// pendingConfig blocks new wave launches (and further membership
 	// proposals) while a configuration entry is in flight: changes are
 	// one-at-a-time, and the quorum switches at the commit point.
-	pendingConfig  bool
-	joining        bool // announcing via JoinReq until promoted to voter
-	joinSentAt     time.Time
-	peerAddrs      map[wire.NodeID]string // advertised transport addresses
-	peerApplied    map[wire.NodeID]uint64 // gossiped applied watermarks
-	snapFetch      *snapFetch             // in-progress snapshot stream (requester)
-	snapSumAt      uint64                 // served-snapshot CRC cache (responder)
-	snapSumVal     uint32
-	lastPruneCheck time.Time
+	pendingConfig bool
+	joining       bool // announcing via JoinReq until promoted to voter
+	joinSentAt    time.Time
+	peerAddrs     map[wire.NodeID]string // advertised transport addresses
+	peerApplied   map[wire.NodeID]uint64 // gossiped applied watermarks
+	snapFetch     *snapFetch             // in-progress snapshot stream (requester)
+	snapSumAt     uint64                 // served-snapshot CRC cache (responder)
+	snapSumVal    uint32
+	lastPruneAt   uint64 // applied index at the last prune
 
 	// hintChosen records a commit index claimed by a peer (heartbeat, or
 	// a Commit whose entries this replica cannot locally validate); the
@@ -921,13 +932,17 @@ func (r *Replica) tick(now time.Time) {
 	}
 	r.sweepNearReads(now)
 	if hb := r.elector.Tick(now); hb != nil {
+		// Announce a pending commit first: a heartbeat claiming an index
+		// the backups were not told of yet would send each of them to
+		// fetch a full catch-up snapshot for it (the tick's hint path).
+		r.flushCommit()
 		hb.Chosen = r.acc.Chosen()
 		hb.Applied = r.applied // gossip the applied watermark (prune driver)
 		r.othersDo(hb)
 	}
 	r.tickJoin(now)
 	r.maybeSnapshot()
-	r.maybePrune(now)
+	r.maybePrune()
 	leader, ok := r.elector.Leader(now)
 	switch {
 	case ok && leader == r.cfg.ID && r.role == RoleBackup:
@@ -1086,19 +1101,10 @@ func (r *Replica) stepDown() {
 		tx.ws.Abort()
 	}
 	r.txns = make(map[txnKey]*txnState)
-	// Roll back the speculatively executed waves: the oldest wave's undo
-	// snapshot is the state after the last committed instance, so one
-	// restore discards every in-flight wave's effects at once.
-	if len(r.waves) > 0 {
-		if w := r.waves[0]; w.undo != nil {
-			if err := r.svc.Restore(w.undo); err != nil {
-				r.fatal("undo restore: %v", err)
-			}
-			r.stats.specRollbacks.Add(1)
-			r.stats.wavesRolledBack.Add(uint64(len(r.waves)))
-			r.logf("rolled back %d speculative wave(s) to chosen=%d",
-				len(r.waves), r.acc.Chosen())
-		}
+	// The aborts above undid any uncommitted exclusive transaction; what
+	// is left to discard are the executed waves still in flight.
+	if r.speculative() {
+		r.rollback()
 	}
 	r.waves = nil
 	r.stats.wavesInFlight.Set(0)
@@ -1127,6 +1133,76 @@ func (r *Replica) stepDown() {
 	r.pendingConfig = false
 	r.nextInstance = r.acc.Chosen() + 1
 	r.logf("stepped down at chosen=%d", r.acc.Chosen())
+}
+
+// speculative reports whether the live service state runs ahead of the
+// chosen log: an executed wave is in flight, or an exclusive transaction
+// is executing directly against the service. Recovery and configuration
+// waves change no service state before they commit.
+func (r *Replica) speculative() bool {
+	if r.exclusiveBusy() {
+		return true
+	}
+	for _, w := range r.waves {
+		if w.executed {
+			return true
+		}
+	}
+	return false
+}
+
+// ensureBase takes the rollback base before the first speculative
+// mutation from a clean state, when there is none yet or compaction has
+// stripped the payloads above it. Pruning never passes the durable
+// snapshot, and every durable snapshot refreshes the base (maybeSnapshot)
+// or drops it (installSnapshot). Once speculation is under way the live
+// state is not clean, so the base from its start stays; compaction waits
+// for a clean state (maybeCompact), so that base never goes stale while
+// it is needed.
+func (r *Replica) ensureBase() {
+	if r.hasBase && r.baseAt >= r.lastCompact {
+		return
+	}
+	if r.speculative() {
+		return
+	}
+	r.setBase(r.svc.Snapshot(), r.applied)
+}
+
+// setBase records snap, a clean snapshot reflecting instance at, as the
+// rollback base.
+func (r *Replica) setBase(snap []byte, at uint64) {
+	r.base, r.baseAt, r.hasBase = snap, at, true
+}
+
+// dropBase forgets the rollback base after a state transfer: the log
+// may no longer rebuild the installed state from it. The next
+// speculative mutation takes a fresh one.
+func (r *Replica) dropBase() {
+	r.base, r.baseAt, r.hasBase = nil, 0, false
+}
+
+// rollback discards every speculative execution the way a restarted
+// replica recovers: restore the base, then replay the chosen log above
+// it. Should replay stop short of the commit index, the replica is a
+// backup with applied behind it, and the tick's catch-up fetches the
+// rest from a peer that knows the index.
+func (r *Replica) rollback() {
+	if !r.hasBase {
+		r.fatal("rollback: no base for %d speculative wave(s)", len(r.waves))
+		return
+	}
+	if err := r.svc.Restore(r.base); err != nil {
+		r.fatal("rollback restore: %v", err)
+		return
+	}
+	r.applied = r.baseAt
+	chosen := r.acc.Chosen()
+	r.applyCommitted(chosen)
+	r.stats.specRollbacks.Add(1)
+	r.stats.wavesRolledBack.Add(uint64(len(r.waves)))
+	r.logf("rolled back %d speculative wave(s): replayed %d..%d of chosen=%d",
+		len(r.waves), r.baseAt+1, r.applied, chosen)
 }
 
 // fatal reports an unrecoverable local fault (storage failure). The

@@ -142,9 +142,9 @@ func (r *Replica) drainBlocked() {
 // proposed before i−1 commits. Deeper pipelines launch wave i+1 against
 // the local speculative post-i state — the leader already executed wave i
 // before proposing it, which is the paper's own insight — while wave i's
-// quorum round trip and fsync are still outstanding. Each wave's undo
-// snapshot captures the state it was built on, so the oldest in-flight
-// wave's undo always equals the last committed state.
+// quorum round trip and fsync are still outstanding. A demotion discards
+// the speculative waves by rebuilding the committed state from the
+// rollback base (stepDown).
 //
 // Speculative launches are gated against batch fragmentation: launching
 // on every arrival would turn one big wave per round trip into many
@@ -161,6 +161,9 @@ func (r *Replica) drainBlocked() {
 // have built. Clients that go quiet make the gate conservative (it
 // degrades to the serial one-wave-per-commit schedule) only until the
 // sweep forgets them, and never unsafe.
+// Once every compactEvery instances the pipeline also drains before
+// the next launch, so compaction and the rollback base refresh happen at
+// a clean state (maybeCompact, ensureBase).
 // An empty pipeline always launches immediately (that is the serial
 // protocol's latency), and NoBatch mode skips the gate — there every
 // wave carries one request by design, so fragmentation is the
@@ -173,6 +176,9 @@ func (r *Replica) maybeStartWave() {
 		if !r.cfg.NoBatch && len(r.waves) > 0 &&
 			len(r.pending) < len(r.writers) {
 			return
+		}
+		if len(r.waves) > 0 && r.compactDue() {
+			return // drain first: compaction waits for a clean state
 		}
 		items := r.queue
 		r.queue = nil
@@ -188,7 +194,7 @@ func (r *Replica) maybeStartWave() {
 // speculative) service state and launches the covering accept wave.
 func (r *Replica) startWave(items []workItem) {
 	execStart := time.Now()
-	undo := r.svc.Snapshot()
+	r.ensureBase()
 	var entries []wire.Entry
 	var txns []*txnState
 	var firstAt time.Time
@@ -201,11 +207,6 @@ func (r *Replica) startWave(items []workItem) {
 		if it.txn != nil {
 			// T-Paxos commit: one instance decides the whole
 			// transaction and the state after applying it (§3.5).
-			if it.txn.exclusive {
-				// The pre-transaction snapshot is the only state
-				// that excludes the transaction's effects.
-				undo = it.txn.preSnap
-			}
 			if err := it.txn.ws.Commit(); err != nil {
 				r.finishTxn(it.txn)
 				r.reply(it.req, wire.StatusAborted, nil, err.Error())
@@ -246,7 +247,7 @@ func (r *Replica) startWave(items []workItem) {
 		top.Prop.Kind = wire.StateFull
 	}
 	r.stats.execLat.Since(execStart)
-	r.launchWave(&wave{entries: entries, undo: undo, txns: txns, firstAt: firstAt})
+	r.launchWave(&wave{entries: entries, executed: true, txns: txns, firstAt: firstAt})
 }
 
 // executeWrite runs one write on the service per the state mode,
@@ -510,13 +511,23 @@ func (r *Replica) noteCommitted(e wire.Entry, replyNow bool) {
 // compactions.
 const compactEvery = 1024
 
-// maybeCompact strips old state payloads from the log periodically.
+// compactDue reports whether the periodic log compaction is due.
+func (r *Replica) compactDue() bool { return r.acc.Chosen()-r.lastCompact >= compactEvery }
+
+// maybeCompact strips old state payloads from the log periodically. It
+// waits for a clean state: stripping the payloads above the rollback
+// base while speculative work is out would leave a demotion unable to
+// replay back to the commit index, and a demoted leader that is the only
+// replica to know that index could then never be caught up.
+// maybeStartWave lets a deeper pipeline drain once compaction is due, so
+// the wait is at most one pipeline's worth of waves.
 func (r *Replica) maybeCompact() {
-	if chosen := r.acc.Chosen(); chosen-r.lastCompact >= compactEvery {
-		r.lastCompact = chosen
-		if err := r.acc.Compact(chosen); err != nil {
-			r.fatal("compact: %v", err)
-		}
+	if !r.compactDue() || r.speculative() {
+		return
+	}
+	r.lastCompact = r.acc.Chosen()
+	if err := r.acc.Compact(r.lastCompact); err != nil {
+		r.fatal("compact: %v", err)
 	}
 }
 

@@ -235,7 +235,7 @@ func (r *Replica) proposeConfig(op wire.ConfigOp, node wire.NodeID, addr string)
 	r.nextInstance++
 	r.pendingConfig = true
 	r.logf("proposing config %v %v at instance %d", op, node, entries[0].Instance)
-	r.launchWave(&wave{entries: entries, undo: r.svc.Snapshot()})
+	r.launchWave(&wave{entries: entries})
 	return nil
 }
 
@@ -447,6 +447,7 @@ func (r *Replica) installSnapshot(f *snapFetch) {
 		return
 	}
 	r.applied = f.at
+	r.dropBase() // the log below the snapshot is gone
 	if f.members != nil && f.at > r.membersAt {
 		r.voters = append([]wire.NodeID(nil), f.members...)
 		r.learners = append([]wire.NodeID(nil), f.learners...)
@@ -490,7 +491,8 @@ func (r *Replica) tickFetch(now time.Time) {
 // wave executions and no open exclusive transaction, so the service
 // reflects exactly instance r.applied. Snapshots are what make pruning
 // (and snapshot catch-up) possible — storage refuses to prune above
-// the last durable snapshot.
+// the last durable snapshot. The same bytes become the rollback base at
+// no extra cost: the store keeps the slice, and nobody mutates it.
 func (r *Replica) maybeSnapshot() {
 	if r.cfg.SnapshotEvery == 0 {
 		return
@@ -507,37 +509,41 @@ func (r *Replica) maybeSnapshot() {
 		r.fatal("snapshot save: %v", err)
 		return
 	}
+	r.setBase(snap, r.applied)
 	r.stats.snapSaves.Add(1)
 }
 
 // maybePrune discards WAL entries below the cluster-wide minimum
-// applied watermark (minus a retention slack), at most once a second.
-// Pruning requires a watermark from every current member — a silent or
-// dead peer blocks pruning until it recovers or is removed, which is
-// the safety property: no replica still entitled to entry catch-up can
-// have its suffix pruned away (it would be forced into a full snapshot
-// install instead, which also works, but the slack keeps the cheap
-// path available). Storage additionally clamps the cut to the durable
-// snapshot bound.
-func (r *Replica) maybePrune(now time.Time) {
-	if r.cfg.PruneKeep == 0 || now.Sub(r.lastPruneCheck) < time.Second {
+// applied watermark (minus a retention slack). After a prune the next
+// one waits for min(compactEvery, SnapshotEvery) more applied
+// instances, so the in-memory log is bounded by instances, not by how
+// much throughput fits between wall-clock checks; the cut cannot pass
+// the durable snapshot anyway, so checking more often than snapshots
+// move gains nothing. A check that cuts nothing retries on the next
+// tick. Pruning requires a watermark from every current member — a
+// silent or dead peer blocks pruning until it recovers or is removed,
+// which is the safety property: no replica still entitled to entry
+// catch-up can have its suffix pruned away (it would be forced into a
+// full snapshot install instead, which also works, but the slack keeps
+// the cheap path available). Storage additionally clamps the cut to the
+// durable snapshot bound.
+func (r *Replica) maybePrune() {
+	step := min(uint64(compactEvery), r.cfg.SnapshotEvery)
+	if r.cfg.PruneKeep == 0 || r.applied < r.lastPruneAt+step {
 		return
 	}
-	r.lastPruneCheck = now
-	min := r.applied
+	low := r.applied
 	for _, p := range r.others {
 		w, ok := r.peerApplied[p]
 		if !ok {
 			return // never heard from p: cannot bound its lag
 		}
-		if w < min {
-			min = w
-		}
+		low = min(low, w)
 	}
-	if min <= r.cfg.PruneKeep {
+	if low <= r.cfg.PruneKeep {
 		return
 	}
-	keepFrom := min - r.cfg.PruneKeep + 1
+	keepFrom := low - r.cfg.PruneKeep + 1
 	if _, at := r.acc.ServiceSnapshot(); keepFrom > at+1 {
 		keepFrom = at + 1
 	}
@@ -549,9 +555,10 @@ func (r *Replica) maybePrune(now time.Time) {
 		r.fatal("wal prune: %v", err)
 		return
 	}
+	r.lastPruneAt = r.applied
 	r.stats.pruneRuns.Add(1)
 	r.stats.pruneEntries.Add(keepFrom - 1 - pruned)
-	r.logf("pruned wal below %d (cluster-min applied %d)", keepFrom, min)
+	r.logf("pruned wal below %d (cluster-min applied %d)", keepFrom, low)
 }
 
 // tickJoin broadcasts this joiner's announcement until a committed

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"gridrep/internal/wire"
@@ -203,13 +204,17 @@ func (s *KV) mutableData() map[string][]byte {
 }
 
 // Snapshot implements Service with a deterministic (sorted) encoding.
+// The buffer is sized exactly up front, so a large store is encoded in
+// one allocation instead of a chain of doublings.
 func (s *KV) Snapshot() []byte {
 	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	size := uvarintLen(uint64(len(s.data)))
+	for k, v := range s.data {
 		keys = append(keys, k)
+		size += uvarintLen(uint64(len(k))) + len(k) + uvarintLen(uint64(len(v))) + len(v)
 	}
 	sort.Strings(keys)
-	enc := wire.NewEncoder(nil)
+	enc := wire.NewEncoder(make([]byte, 0, size))
 	enc.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		enc.String(k)
@@ -217,6 +222,9 @@ func (s *KV) Snapshot() []byte {
 	}
 	return enc.Bytes()
 }
+
+// uvarintLen is the encoded size of v in unsigned LEB128 form.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Restore implements Service. Open transactions are discarded: a restore
 // happens only on state transfer, when local speculation is void anyway.

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -499,5 +500,23 @@ func TestSchedBadOps(t *testing.T) {
 		if _, err := s.Execute(op); err == nil {
 			t.Errorf("bad op %v accepted", op)
 		}
+	}
+}
+
+// TestKVSnapshotSizedExactly: Snapshot sizes its buffer up front, so the
+// encoding fills it exactly, across varint length boundaries.
+func TestKVSnapshotSizedExactly(t *testing.T) {
+	kv := NewKV()
+	for i, n := range []int{0, 1, 127, 128, 300, 20000} {
+		kv.Execute(KVPut(fmt.Sprintf("k%d", i), bytes.Repeat([]byte("v"), n)))
+	}
+	kv.Execute(KVPut(string(bytes.Repeat([]byte("k"), 200)), []byte("long key")))
+	snap := kv.Snapshot()
+	if len(snap) != cap(snap) {
+		t.Fatalf("snapshot len %d, cap %d: buffer not sized exactly", len(snap), cap(snap))
+	}
+	b := NewKV()
+	if err := b.Restore(snap); err != nil || b.Len() != 7 {
+		t.Fatalf("restore: %v, %d keys", err, b.Len())
 	}
 }

@@ -487,11 +487,37 @@ func appendFrame(dst, body []byte) []byte {
 	return append(dst, sum[:]...)
 }
 
+// writeFrame writes the same frame appendFrame builds to w, in three
+// writes instead of one copy, and returns its length.
+func writeFrame(w io.Writer, body []byte) (int64, error) {
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(body)))
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.Update(0, crcTable, body))
+	for _, b := range [][]byte{hdr[:n], body, sum[:]} {
+		if _, err := w.Write(b); err != nil {
+			return 0, err
+		}
+	}
+	return int64(n + len(body) + len(sum)), nil
+}
+
+// maxRetainedBuf bounds the capacity File keeps in its reusable buffers:
+// the record encoder and the recycled staging buffer. A group-commit
+// batch of ordinary records stays far below it; a buffer that grew past
+// it carried a service snapshot, and keeping it would pin a snapshot's
+// worth of memory per replica for good.
+const maxRetainedBuf = 256 << 10
+
 // encScratch resets and returns the shared record encoder. Mutations all
 // run on the replica's event loop, one at a time, and both stage and
 // writeRecord copy the encoded bytes out before returning, so one
-// buffer serves every record without a per-mutation allocation.
+// buffer serves every record without a per-mutation allocation. An
+// encoder that grew past maxRetainedBuf is dropped, not reused.
 func (s *File) encScratch() *wire.Encoder {
+	if cap(s.scratch.Bytes()) > maxRetainedBuf {
+		s.scratch = wire.NewEncoder(nil)
+	}
 	s.scratch.Reset()
 	return s.scratch
 }
@@ -591,12 +617,15 @@ func (s *File) Flush() error {
 	s.maybeRewriteLocked()
 	s.wmu.Unlock()
 
-	// Recycle the flushed buffer for the next burst.
-	s.mu.Lock()
-	if s.spare == nil {
-		s.spare = batch[:0]
+	// Recycle the flushed buffer for the next burst, unless a snapshot
+	// record grew it far past a normal batch.
+	if cap(batch) <= maxRetainedBuf {
+		s.mu.Lock()
+		if s.spare == nil {
+			s.spare = batch[:0]
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -986,7 +1015,7 @@ func (s *File) rewriteTo(snap *PersistentState) error {
 	for _, id := range snap.Learners {
 		enc.NodeID(id)
 	}
-	buf := appendFrame(nil, enc.Bytes())
+	body := enc.Bytes()
 
 	tmp := s.path + ".tmp"
 	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -999,8 +1028,11 @@ func (s *File) rewriteTo(snap *PersistentState) error {
 		return err
 	}
 	// The bulk of the snapshot is written and synced outside the write
-	// lock; appends to the live log are never blocked behind it.
-	if _, err := nf.Write(buf); err != nil {
+	// lock; appends to the live log are never blocked behind it. The
+	// frame goes out as header, body and checksum, so the body (which
+	// holds the service snapshot) is never copied into a second buffer.
+	nsize, err := writeFrame(nf, body)
+	if err != nil {
 		return fail(err)
 	}
 	if s.Sync {
@@ -1011,7 +1043,6 @@ func (s *File) rewriteTo(snap *PersistentState) error {
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	nsize := int64(len(buf))
 	if len(s.tail) > 0 {
 		if _, err := nf.WriteAt(s.tail, nsize); err != nil {
 			return fail(err)

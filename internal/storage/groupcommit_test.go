@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -365,5 +366,56 @@ func TestParseSyncPolicy(t *testing.T) {
 		if tc.ok && tc.in != "" && got.String() != tc.in {
 			t.Errorf("String() round trip: %q != %q", got.String(), tc.in)
 		}
+	}
+}
+
+// TestSnapshotBuffersNotRetained: a service snapshot record grows the
+// record encoder and the staging buffer to its size; neither may stay
+// that large once ordinary records follow, or every replica pins a
+// snapshot's worth of memory for good. The snapshot itself must survive
+// a log rewrite, which frames it without a second copy.
+func TestSnapshotBuffersNotRetained(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	s := openTestFile(t, path)
+	defer s.Close()
+	s.SetBuffered(true)
+
+	snap := make([]byte, 4*maxRetainedBuf)
+	for i := range snap {
+		snap[i] = byte(i)
+	}
+	if err := s.SaveSnapshot(snap, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b := wire.Ballot{Round: 1, Node: 0}
+	for i := uint64(2); i <= 3; i++ {
+		if err := s.PutAccepted([]wire.Entry{entry(i, b, "op", true)}, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	spare, scratch := cap(s.spare), cap(s.scratch.Bytes())
+	s.mu.Unlock()
+	if spare > maxRetainedBuf || scratch > maxRetainedBuf {
+		t.Fatalf("after a %d-byte snapshot record: spare cap %d, encoder cap %d, want <= %d",
+			len(snap), spare, scratch, maxRetainedBuf)
+	}
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	got := reopen(t, path)
+	if got.ServiceSnapAt != 1 || !bytes.Equal(got.ServiceSnap, snap) {
+		t.Fatalf("snapshot at %d (%d bytes) after rewrite, want at 1 (%d bytes)",
+			got.ServiceSnapAt, len(got.ServiceSnap), len(snap))
+	}
+	if got.Accepted.Len() != 2 {
+		t.Fatalf("Accepted.Len after rewrite = %d, want 2", got.Accepted.Len())
 	}
 }

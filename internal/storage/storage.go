@@ -223,7 +223,9 @@ type Store interface {
 	// SaveSnapshot durably records the service snapshot valid after
 	// applying instance at, superseding any older one. It is the
 	// prune guard: PruneTo never discards entries the latest snapshot
-	// does not cover.
+	// does not cover. The store keeps snap itself, not a copy (a
+	// service snapshot runs to megabytes), so the caller must not
+	// modify it afterwards.
 	SaveSnapshot(snap []byte, at uint64) error
 	// SetMembers durably records the membership decided by the
 	// configuration entry at instance at.
@@ -277,23 +279,26 @@ func (s *PersistentState) ApplyMembers(members, learners []wire.NodeID, at uint6
 }
 
 // ApplySnapshot records a service snapshot if it is at least as new as
-// the one held; shared by implementations.
+// the one held; shared by implementations. It keeps snap without
+// copying: snapshot bytes are immutable once saved (Store.SaveSnapshot).
 func (s *PersistentState) ApplySnapshot(snap []byte, at uint64) {
 	if at < s.ServiceSnapAt {
 		return
 	}
-	s.ServiceSnap = append([]byte(nil), snap...)
+	s.ServiceSnap = snap
 	s.ServiceSnapAt = at
 }
 
-// Clone deep-copies the state (for snapshot isolation in tests).
+// Clone copies the state (for snapshot isolation in tests and log
+// rewrites). The service snapshot bytes are shared, not copied: they are
+// immutable once saved.
 func (s *PersistentState) Clone() *PersistentState {
 	return &PersistentState{
 		Promised:      s.Promised,
 		MaxAccepted:   s.MaxAccepted,
 		Chosen:        s.Chosen,
 		Accepted:      s.Accepted.Clone(),
-		ServiceSnap:   append([]byte(nil), s.ServiceSnap...),
+		ServiceSnap:   s.ServiceSnap,
 		ServiceSnapAt: s.ServiceSnapAt,
 		Members:       append([]wire.NodeID(nil), s.Members...),
 		Learners:      append([]wire.NodeID(nil), s.Learners...),

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -556,5 +557,28 @@ func TestFilePoisonedAfterFailedAppend(t *testing.T) {
 	// Even a no-op mutation (stale ballot) must refuse.
 	if err := st.SetPromised(wire.Ballot{Round: 0, Node: 0}); err == nil {
 		t.Error("stale SetPromised after poison should fail")
+	}
+}
+
+// TestSaveSnapshotKeepsCallerBytes pins the Store.SaveSnapshot contract:
+// the store keeps the caller's snapshot slice instead of copying it, and
+// so do the states Load hands out.
+func TestSaveSnapshotKeepsCallerBytes(t *testing.T) {
+	for name, mk := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			s := mk(t)
+			defer s.Close()
+			snap := bytes.Repeat([]byte("s"), 4096)
+			if err := s.SaveSnapshot(snap, 7); err != nil {
+				t.Fatal(err)
+			}
+			st, err := s.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ServiceSnapAt != 7 || len(st.ServiceSnap) != len(snap) || &st.ServiceSnap[0] != &snap[0] {
+				t.Fatalf("loaded snapshot at %d (%d bytes) is not the saved slice", st.ServiceSnapAt, len(st.ServiceSnap))
+			}
+		})
 	}
 }
